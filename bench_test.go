@@ -226,9 +226,10 @@ func BenchmarkTuneQuery(b *testing.B) {
 	}
 }
 
-// benchTuneWorkload measures a full workload-level search at a given
-// what-if parallelism. The what-if cache is rebuilt per iteration so every
-// iteration pays for its probes (a warm cache would hide the fan-out).
+// benchTuneWorkload measures a cold workload-level search at a given
+// what-if parallelism: every iteration gets a fresh optimizer and what-if
+// cache, as a tune job does, so it pays for its probes and its access-path
+// memo misses (a warm optimizer would time a state no caller sees).
 //
 // Probing is CPU-bound in the planner, so the Parallel4/Serial ratio
 // tracks physical cores: ~parity on a single-core host (the pool adds no
@@ -236,11 +237,10 @@ func BenchmarkTuneQuery(b *testing.B) {
 func benchTuneWorkload(b *testing.B, parallelism int) {
 	w := workload.TPCH("bench-tunew", 5000, 7)
 	ds := stats.BuildDatabaseStats(w.DB, util.NewRNG(4), stats.DefaultSampleSize, stats.DefaultBuckets)
-	o := opt.New(w.Schema, ds)
 	qs := w.Queries[:12]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tn := tuner.New(w.Schema, opt.NewWhatIf(o), nil, tuner.Options{Parallelism: parallelism})
+		tn := tuner.New(w.Schema, opt.NewWhatIf(opt.New(w.Schema, ds)), nil, tuner.Options{Parallelism: parallelism})
 		if _, err := tn.TuneWorkload(context.Background(), qs, nil); err != nil {
 			b.Fatal(err)
 		}

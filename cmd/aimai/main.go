@@ -59,10 +59,6 @@ func printMetricsSummary() {
 		fmt.Printf("\nmetrics: access-path memo hits %.0f misses %.0f (entries %.0f)",
 			mh, mm, s.Gauges["opt.memo.entries"])
 	}
-	if jh, jm := s.Gauges["opt.jmemo.hit"], s.Gauges["opt.jmemo.miss"]; jh+jm > 0 {
-		fmt.Printf("\nmetrics: join-order memo hits %.0f misses %.0f (entries %.0f)",
-			jh, jm, s.Gauges["opt.jmemo.entries"])
-	}
 	if gen, drop := s.Counters["candidates.generated"], s.Counters["candidates.dropped"]; gen+drop > 0 {
 		fmt.Printf("\nmetrics: candidates generated %d, dropped by budgets %d", gen, drop)
 	}

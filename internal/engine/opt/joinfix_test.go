@@ -267,11 +267,10 @@ func snapshotPlan(p *plan.Plan) planSnapshot {
 	return s
 }
 
-// TestPlansNeverAliasPlannerMemory: returned plans — including plans served
-// from the path and join memos — must not share nodes with pooled planner
-// arenas or with each other. Re-planning the whole suite many times (which
-// recycles every arena and hits every memo) must leave earlier plans
-// untouched.
+// TestPlansNeverAliasPlannerMemory: returned plans — including plans built
+// from path-memo hits — must not share nodes with pooled planner arenas or
+// with each other. Re-planning the whole suite many times (which recycles
+// every arena and hits the path memo) must leave earlier plans untouched.
 func TestPlansNeverAliasPlannerMemory(t *testing.T) {
 	s, _, ds := buildEnv(t)
 	o := New(s, ds)
@@ -285,7 +284,7 @@ func TestPlansNeverAliasPlannerMemory(t *testing.T) {
 	}
 	snap := snapshotPlan(first)
 
-	// Churn the planner pool, the memos, and the arenas.
+	// Churn the planner pool, the path memo, and the arenas.
 	var later []*plan.Plan
 	for round := 0; round < 10; round++ {
 		for _, q := range qs {
@@ -322,9 +321,10 @@ func TestPlansNeverAliasPlannerMemory(t *testing.T) {
 }
 
 // TestOptimizeWarmAllocBudget pins the warm planning path itself (distinct
-// from the what-if cache hit): with query info, path memo, and join memo all
-// warm, a full Optimize call must stay within a small allocation budget —
-// the plan clone-out plus a handful of fixed-size slices.
+// from the what-if cache hit): with query info and path memo warm, a full
+// Optimize call (including its join search) must stay within a small
+// allocation budget — the plan clone-out plus a handful of fixed-size
+// slices.
 func TestOptimizeWarmAllocBudget(t *testing.T) {
 	if race.Enabled {
 		t.Skip("alloc counts are not stable under -race (sync.Pool drops Puts)")
@@ -342,8 +342,7 @@ func TestOptimizeWarmAllocBudget(t *testing.T) {
 		}
 	})
 	// Warm planning clones the result tree out of the arenas (2 slabs + the
-	// Plan struct) and renders nothing else; give a little headroom for the
-	// join-memo instantiation path.
+	// Plan struct) and renders nothing else; give a little headroom.
 	const budget = 12
 	if allocs > budget {
 		t.Fatalf("warm Optimize allocated %.1f times per run, budget %d", allocs, budget)

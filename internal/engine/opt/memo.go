@@ -30,11 +30,11 @@ var (
 // configurations.
 const maxPathMemoEntries = 8192
 
-// memoEntry is one memoized planning result — an access path or a join
-// subtree — cloned out of the planner's arenas: the winning subPlan plus
-// the cost.Args of every node in its subtree (preorder), so a hit can
-// re-register the args a later parallelize/cloneRecost pass needs. The
-// entry owns its tree; hits clone it back into the arena (cloneIn).
+// memoEntry is one memoized access path, cloned out of the planner's
+// arenas: the winning subPlan plus the cost.Args of every node in its
+// subtree (preorder), so a hit can re-register the args a later
+// parallelize/cloneRecost pass needs. The entry owns its tree; hits clone
+// it back into the arena (cloneIn).
 type memoEntry struct {
 	sp   subPlan
 	args []cost.Args // preorder over sp.node's subtree
@@ -122,13 +122,12 @@ func (m *pathMemo) reset() {
 	mMemoEntries.Set(0)
 }
 
-// InvalidatePathMemo drops all memoized planning state — access paths and
-// join-order results. Swapping o.Stats or o.Model already invalidates both
-// implicitly (generation pointers); this is for callers that mutate either
-// in place.
+// InvalidatePathMemo drops all memoized access paths, the only planning
+// state kept across Optimize calls besides per-query analysis. Swapping
+// o.Stats or o.Model already invalidates the memo implicitly (generation
+// pointers); this is for callers that mutate either in place.
 func (o *Optimizer) InvalidatePathMemo() {
 	o.memo.reset()
-	o.jmemo.reset()
 }
 
 // PathMemoStats returns lifetime hit/miss counts and the current entry
@@ -140,13 +139,21 @@ func (o *Optimizer) PathMemoStats() (hits, misses uint64, entries int) {
 	return m.hits, m.misses, len(m.entries)
 }
 
+// JoinMemoStats is kept for callers written against the former join-order
+// memo, which was removed because a cold workload tune ran slower and
+// allocated more with it than without it (DESIGN.md §12). Every join search
+// is now a miss: hits and entries are always 0, and misses counts the
+// join-order searches this optimizer has run.
+func (o *Optimizer) JoinMemoStats() (hits, misses uint64, entries int) {
+	return 0, o.joinSearches.Load(), 0
+}
+
 // appendPathMemoKey renders the inputs bestAccessPath consumes into a
 // compact key appended to b (callers reuse per-table buffers). Predicate
 // order is preserved (selectivities multiply in predicate order, so order
 // is semantically significant for float reproducibility); columns and index
 // IDs arrive pre-sorted from ColumnsUsed/SortedIndexes. The separators
-// 0x1e/0x1f never appear in identifiers, and the join memo relies on 0x1d
-// being absent here when it concatenates these keys (joinmemo.go).
+// 0x1e/0x1f never appear in identifiers.
 func appendPathMemoKey(b []byte, table string, preds []query.Pred, need []string, ixs []*catalog.Index) []byte {
 	b = append(b, table...)
 	for _, pr := range preds {

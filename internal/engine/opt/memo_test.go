@@ -113,6 +113,22 @@ func TestPathMemoHitRate(t *testing.T) {
 	}
 }
 
+// TestJoinMemoStatsCountsJoinSearches: the compatibility accessor reports no
+// hits and no entries, and one miss per plan of a multi-table query, so a
+// hit ratio computed from it is 0 rather than 0/0.
+func TestJoinMemoStatsCountsJoinSearches(t *testing.T) {
+	s, _, ds := buildEnv(t)
+	o := New(s, ds)
+	for _, q := range []*query.Query{pointQuery(), joinQuery(), joinQuery()} {
+		if _, err := o.Optimize(q, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if h, m, e := o.JoinMemoStats(); h != 0 || m != 2 || e != 0 {
+		t.Fatalf("JoinMemoStats = (%d, %d, %d), want (0, 2, 0)", h, m, e)
+	}
+}
+
 // TestPathMemoInvalidation: swapping Stats or Model must flush the memo so
 // stale access paths cannot leak across generations.
 func TestPathMemoInvalidation(t *testing.T) {

@@ -1,0 +1,40 @@
+package tuner
+
+import (
+	"context"
+	"runtime"
+	"testing"
+
+	"repro/internal/engine/opt"
+	"repro/internal/engine/stats"
+	"repro/internal/race"
+	"repro/internal/util"
+	"repro/internal/workload"
+)
+
+// TestColdTuneWorkloadAllocBudget pins the bytes a cold workload tune
+// allocates: a fresh optimizer and what-if cache, as a tune job gets,
+// searching all 22 TPC-H queries serially. Every probe that misses the
+// what-if cache pays one join search over memoized access paths; a cache
+// layer that stores more than it saves shows up here first.
+func TestColdTuneWorkloadAllocBudget(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation totals are not stable under -race (sync.Pool drops Puts)")
+	}
+	w := workload.TPCH("alloc-tunew", 5000, 7)
+	ds := stats.BuildDatabaseStats(w.DB, util.NewRNG(4), stats.DefaultSampleSize, stats.DefaultBuckets)
+	tn := New(w.Schema, opt.NewWhatIf(opt.New(w.Schema, ds)), nil, Options{Parallelism: 1})
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	if _, err := tn.TuneWorkload(context.Background(), w.Queries, nil); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+
+	const budgetMB = 26
+	if mb := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20); mb > budgetMB {
+		t.Fatalf("cold TuneWorkload allocated %.1f MB, budget %d MB", mb, budgetMB)
+	}
+}

@@ -389,9 +389,8 @@ func (t *Tuner) TuneQuery(ctx context.Context, q *query.Query, c0 *catalog.Confi
 		}
 		mStepCands.Observe(float64(len(probes)))
 		if t.workers == nil {
-			// Serial probing: one batch what-if call amortizes per-probe
-			// setup (query fingerprint, per-query analysis, planner state)
-			// across all of this step's candidates.
+			// Serial probing: plan this step's candidates in order with
+			// one batch what-if call.
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}

@@ -12,7 +12,7 @@
 #   BENCH_FILTER   overrides the benchmark regexp.
 #
 # Compare two snapshots with:
-#   go run ./scripts/benchjson -diff BENCH_probe_before.json BENCH_probe.json
+#   go run ./scripts/benchjson -diff BENCH_probe_pr4_seed.json BENCH_probe.json
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
