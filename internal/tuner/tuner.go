@@ -485,56 +485,107 @@ type WorkloadRecommendation struct {
 	EstCost float64
 }
 
-// workloadCost computes the weighted estimated cost of a workload under a
-// configuration, also checking the per-query no-regression gate against
-// the initial plans. ok is false when some query is predicted to regress.
-// The per-query plans are probed in parallel; the gate and the weighted
-// sum run serially in query order, so the result (including float
-// summation order) matches the serial computation exactly.
-func (t *Tuner) workloadCost(ctx context.Context, qs []*query.Query, initPlans []*plan.Plan, cfg *catalog.Configuration) (float64, bool, error) {
-	plans := make([]*plan.Plan, len(qs))
-	errs := make([]error, len(qs))
-	t.parallelFor(len(qs), func(i int) {
-		if errs[i] = ctx.Err(); errs[i] != nil {
-			return
+// workloadState is the outcome of costing a workload under one
+// configuration: every query's plan, its gate verdict against the initial
+// plan (nil without a comparator), and the weighted estimated cost. The
+// state of an accepted configuration is the baseline the next greedy step
+// costs its probes against.
+type workloadState struct {
+	plans    []*plan.Plan
+	verdicts []expdata.Label
+	cost     float64
+}
+
+// workloadCost costs a workload under cfg, also checking the per-query
+// no-regression gate against the initial plans. It returns nil (and no
+// error) when some query is predicted to regress.
+//
+// Costing is incremental: cfg is base's configuration plus ix. The
+// optimizer only consults indexes on the tables a query references, and
+// the comparator never reads a plan's configuration fingerprint, so a query
+// that does not reference ix.Table has the same plan and the same verdict
+// under cfg as under base, bit for bit. Only the queries ix can touch are
+// re-planned (through the worker pool) and re-gated (in one batch); the
+// others reuse base's results. A nil base costs every query from scratch.
+//
+// Verdicts, reused or fresh, are tallied in query order and tallying stops
+// at the first regression, and the weighted sum runs in query order, so
+// gate counters and the cost (including float summation order) match a
+// full serial re-cost exactly.
+func (t *Tuner) workloadCost(ctx context.Context, qs []*query.Query, initPlans []*plan.Plan, base *workloadState, ix *catalog.Index, cfg *catalog.Configuration) (*workloadState, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	st := &workloadState{plans: make([]*plan.Plan, len(qs))}
+	var affected []int
+	if base == nil {
+		affected = make([]int, len(qs))
+		for i := range qs {
+			affected[i] = i
 		}
-		plans[i], errs[i] = t.WhatIf.Plan(qs[i], cfg)
-	})
-	// With a batching comparator and no probe errors, run all per-query
-	// gate comparisons as one inference batch. Verdicts are tallied in
-	// query order below, stopping at the first regression, so the counters
-	// match the serial path exactly (later verdicts stay untallied).
-	var verdicts []expdata.Label
-	if t.Cmp != nil && !anyErr(errs) {
-		if bc, ok := t.Cmp.(models.BatchComparator); ok && len(qs) >= 2 {
-			pairs := make([]models.PlanPair, len(qs))
-			for i := range qs {
-				pairs[i] = models.PlanPair{P1: initPlans[i], P2: plans[i]}
+	} else {
+		copy(st.plans, base.plans)
+		for i, q := range qs {
+			if q.HasTable(ix.Table) {
+				affected = append(affected, i)
 			}
-			verdicts = bc.CompareBatch(pairs, nil)
 		}
 	}
-	var total float64
+	errs := make([]error, len(affected))
+	t.parallelFor(len(affected), func(k int) {
+		if errs[k] = ctx.Err(); errs[k] != nil {
+			return
+		}
+		i := affected[k]
+		st.plans[i], errs[k] = t.WhatIf.Plan(qs[i], cfg)
+	})
+	// With a batching comparator and no probe errors, run the affected
+	// queries' gate comparisons as one inference batch. Verdicts are
+	// tallied in query order below, stopping at the first regression, so
+	// the counters match the serial path exactly (later verdicts stay
+	// untallied).
+	var fresh []expdata.Label
+	if t.Cmp != nil {
+		st.verdicts = make([]expdata.Label, len(qs))
+		if !anyErr(errs) {
+			if bc, ok := t.Cmp.(models.BatchComparator); ok && len(affected) >= 2 {
+				pairs := make([]models.PlanPair, len(affected))
+				for k, i := range affected {
+					pairs[k] = models.PlanPair{P1: initPlans[i], P2: st.plans[i]}
+				}
+				fresh = bc.CompareBatch(pairs, nil)
+			}
+		}
+	}
+	k := 0 // next position in affected (and errs, fresh)
 	for i, q := range qs {
-		if errs[i] != nil {
-			return 0, false, errs[i]
+		isAffected := k < len(affected) && affected[k] == i
+		if isAffected && errs[k] != nil {
+			return nil, errs[k]
 		}
-		var accepted bool
-		if verdicts != nil {
-			accepted = gateVerdict(verdicts[i])
-		} else {
-			accepted = t.acceptNoRegression(initPlans[i], plans[i])
+		if t.Cmp != nil {
+			switch {
+			case !isAffected:
+				st.verdicts[i] = base.verdicts[i]
+			case fresh != nil:
+				st.verdicts[i] = fresh[k]
+			default:
+				st.verdicts[i] = t.Cmp.Compare(initPlans[i], st.plans[i])
+			}
+			if !gateVerdict(st.verdicts[i]) {
+				return nil, nil
+			}
 		}
-		if !accepted {
-			return 0, false, nil
+		if isAffected {
+			k++
 		}
 		w := q.Weight
 		if w <= 0 {
 			w = 1
 		}
-		total += w * plans[i].EstTotalCost
+		st.cost += w * st.plans[i].EstTotalCost
 	}
-	return total, true, nil
+	return st, nil
 }
 
 // TuneWorkload runs the two-phase search of §5: query-level search derives
@@ -592,25 +643,26 @@ func (t *Tuner) TuneWorkload(ctx context.Context, qs []*query.Query, c0 *catalog
 			}
 		}
 	}
-	// Phase (b): greedy assembly.
+	// Phase (b): greedy assembly. Each probe is costed incrementally
+	// against the incumbent's state (see workloadCost).
 	cur := c0
-	curCost, ok, err := t.workloadCost(ctx, qs, initPlans, c0)
+	curState, err := t.workloadCost(ctx, qs, initPlans, nil, nil, c0)
 	if err != nil {
 		return nil, err
 	}
-	if !ok {
+	if curState == nil {
 		return nil, fmt.Errorf("tuner: initial configuration rejected by its own gate")
 	}
-	baseCost := curCost
+	baseCost := curState.cost
 	for len(cur.Diff(c0)) < t.Opts.MaxNewIndexes {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		type poolProbe struct {
-			cfg  *catalog.Configuration
-			cost float64
-			ok   bool
-			err  error
+			ix  *catalog.Index
+			cfg *catalog.Configuration
+			st  *workloadState
+			err error
 		}
 		probes := make([]*poolProbe, 0, len(pool))
 		for _, ix := range pool {
@@ -621,30 +673,31 @@ func (t *Tuner) TuneWorkload(ctx context.Context, qs []*query.Query, c0 *catalog
 			if !t.allowedByBudget(c0, cfg) {
 				continue
 			}
-			probes = append(probes, &poolProbe{cfg: cfg})
+			probes = append(probes, &poolProbe{ix: ix, cfg: cfg})
 		}
 		mWStepCands.Observe(float64(len(probes)))
 		t.parallelFor(len(probes), func(i int) {
 			pr := probes[i]
-			pr.cost, pr.ok, pr.err = t.workloadCost(ctx, qs, initPlans, pr.cfg)
+			pr.st, pr.err = t.workloadCost(ctx, qs, initPlans, curState, pr.ix, pr.cfg)
 		})
 		// First candidate at the strictly lowest cost wins, as in the
 		// serial enumeration.
-		var stepCfg *catalog.Configuration
-		stepCost := curCost
+		var step *poolProbe
+		stepCost := curState.cost
 		for _, pr := range probes {
 			if pr.err != nil {
 				return nil, pr.err
 			}
-			if pr.ok && pr.cost < stepCost {
-				stepCfg, stepCost = pr.cfg, pr.cost
+			if pr.st != nil && pr.st.cost < stepCost {
+				step, stepCost = pr, pr.st.cost
 			}
 		}
-		if stepCfg == nil {
+		if step == nil {
 			break
 		}
-		cur, curCost = stepCfg, stepCost
+		cur, curState = step.cfg, step.st
 	}
+	curCost := curState.cost
 	if t.Opts.MinEstImprovement > 0 {
 		base := math.Max(1e-9, baseCost)
 		if 1-curCost/base < t.Opts.MinEstImprovement {

@@ -29,13 +29,20 @@ type Bench struct {
 	runs        int64
 }
 
-// Snapshot is the file format.
+// Snapshot is the file format. NumCPU and GOMAXPROCS record the host the
+// benchmarks ran on, so a diff can tell a code change from a hardware
+// change; snapshots written before these fields existed leave them 0.
 type Snapshot struct {
-	GeneratedAt string  `json:"generated_at"`
-	GoVersion   string  `json:"go_version"`
-	GOOS        string  `json:"goos"`
-	GOARCH      string  `json:"goarch"`
-	Benchmarks  []Bench `json:"benchmarks"`
+	GeneratedAt string `json:"generated_at"`
+	GoVersion   string `json:"go_version"`
+	GOOS        string `json:"goos"`
+	GOARCH      string `json:"goarch"`
+	// NumCPU is the CPUs usable by the process (runtime.NumCPU).
+	NumCPU int `json:"num_cpu,omitempty"`
+	// GOMAXPROCS is the benchmarks' own setting, read from the -N suffix
+	// go test appends to benchmark names (no suffix means 1).
+	GOMAXPROCS int     `json:"gomaxprocs,omitempty"`
+	Benchmarks []Bench `json:"benchmarks"`
 }
 
 func main() {
@@ -83,6 +90,7 @@ func fatal(msg string) {
 func parse(f *os.File) (*Snapshot, error) {
 	byName := map[string]*Bench{}
 	var order []string
+	procs := 0
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
@@ -94,12 +102,9 @@ func parse(f *os.File) (*Snapshot, error) {
 		if len(fields) < 4 || fields[3] != "ns/op" {
 			continue
 		}
-		name := fields[0]
-		if i := strings.LastIndex(name, "-"); i > 0 {
-			// Strip the -GOMAXPROCS suffix.
-			if _, err := strconv.Atoi(name[i+1:]); err == nil {
-				name = name[:i]
-			}
+		name, p := splitProcs(fields[0])
+		if procs == 0 {
+			procs = p
 		}
 		iters, err := strconv.ParseInt(fields[1], 10, 64)
 		if err != nil {
@@ -140,6 +145,8 @@ func parse(f *os.File) (*Snapshot, error) {
 		GoVersion:   runtime.Version(),
 		GOOS:        runtime.GOOS,
 		GOARCH:      runtime.GOARCH,
+		NumCPU:      runtime.NumCPU(),
+		GOMAXPROCS:  procs,
 	}
 	for _, name := range order {
 		b := byName[name]
@@ -153,6 +160,41 @@ func parse(f *os.File) (*Snapshot, error) {
 		})
 	}
 	return snap, nil
+}
+
+// splitProcs strips the -GOMAXPROCS suffix from a benchmark name and
+// returns it; go test omits the suffix when GOMAXPROCS is 1.
+func splitProcs(name string) (string, int) {
+	if i := strings.LastIndex(name, "-"); i > 0 {
+		if n, err := strconv.Atoi(name[i+1:]); err == nil {
+			return name[:i], n
+		}
+	}
+	return name, 1
+}
+
+// host describes the machine a snapshot was taken on.
+func (s *Snapshot) host() string {
+	count := func(n int) string {
+		if n == 0 {
+			return "?"
+		}
+		return strconv.Itoa(n)
+	}
+	return fmt.Sprintf("%s %s/%s NumCPU=%s GOMAXPROCS=%s (%s)",
+		s.GoVersion, s.GOOS, s.GOARCH, count(s.NumCPU), count(s.GOMAXPROCS), s.GeneratedAt)
+}
+
+// hostWarning explains why two snapshots' timings may not be comparable,
+// or returns "" when both record the same host.
+func hostWarning(before, after *Snapshot) string {
+	switch {
+	case before.NumCPU == 0 || before.GOMAXPROCS == 0 || after.NumCPU == 0 || after.GOMAXPROCS == 0:
+		return "warning: a snapshot does not record its host; ns/op ratios may mix hardware"
+	case before.NumCPU != after.NumCPU || before.GOMAXPROCS != after.GOMAXPROCS:
+		return "warning: snapshots come from different hosts; ns/op ratios mix hardware"
+	}
+	return ""
 }
 
 func load(path string) (*Snapshot, error) {
@@ -207,6 +249,10 @@ func runDiff(beforePath, afterPath string, gate []string, maxRegress float64) er
 		names = append(names, b.Name)
 	}
 	sort.Strings(names)
+	fmt.Printf("before: %s\nafter:  %s\n", before.host(), after.host())
+	if w := hostWarning(before, after); w != "" {
+		fmt.Fprintln(os.Stderr, w)
+	}
 	fmt.Printf("%-34s %14s %14s %9s %12s %12s %9s\n",
 		"benchmark", "ns/op before", "ns/op after", "Δtime", "allocs befor", "allocs after", "Δallocs")
 	for _, n := range names {
